@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from collections import Counter
 
@@ -32,6 +33,30 @@ _ACTIVE_SOFTWATT: SoftWatt | None = None
 """The command's SoftWatt instance, kept so a Ctrl-C handler can
 summarise the partial run report even when the interrupt escaped the
 supervisor (e.g. between supervised stages)."""
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    """argparse type: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}"
+        )
+    return value
 
 
 def _add_resilience(parser: argparse.ArgumentParser) -> None:
@@ -79,7 +104,7 @@ def _add_fidelity(parser: argparse.ArgumentParser) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cpu", choices=("mxs", "mipsy"), default="mxs",
                         help="CPU timing model (default: mxs)")
-    parser.add_argument("--window", type=int, default=40_000,
+    parser.add_argument("--window", type=_positive_int, default=40_000,
                         help="detailed-window instructions (default: 40000)")
     parser.add_argument("--seed", type=int, default=1)
     _add_fidelity(parser)
@@ -683,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("values", nargs="+", help="values to sweep")
     p.add_argument("--benchmark", choices=BENCHMARK_NAMES, default="jess")
     p.add_argument("--disk", type=int, choices=(1, 2, 3, 4), default=2)
-    p.add_argument("--window", type=int, default=15_000)
+    p.add_argument("--window", type=_positive_int, default=15_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--grid", metavar="PARAM=V1,V2,...", action="append",
                    help="additional axis for a multi-parameter grid sweep "
@@ -713,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 picks a free one; default: 8437)")
     p.add_argument("--socket", metavar="PATH",
                    help="serve on a Unix domain socket instead of TCP")
-    p.add_argument("--queue-depth", type=int, default=4,
+    p.add_argument("--queue-depth", type=_positive_int, default=4,
                    help="max in-flight requests before 429 (default: 4)")
     p.add_argument("--retry-after", type=float, default=2.0,
                    metavar="SECONDS",
@@ -730,16 +755,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: unlimited)")
     p.add_argument("--warm", metavar="BENCH1,BENCH2",
                    help="pre-simulate benchmarks before accepting traffic")
-    p.add_argument("--batch-window-ms", type=float, default=0.0,
+    p.add_argument("--batch-window-ms", type=_non_negative_float, default=0.0,
                    help="how long the batch scheduler holds a forming "
-                        "batch open for more lanes (default: 0 — drain "
+                        "batch open for more requests (default: 0 — drain "
                         "whatever is queued, no added latency)")
-    p.add_argument("--max-batch", type=int, default=16,
-                   help="max lanes per scheduler batch (default: 16)")
+    p.add_argument("--max-batch", type=_positive_int, default=16,
+                   help="max requests per scheduler batch (default: 16)")
     p.add_argument("--no-batching", action="store_true",
                    help="serve every request alone (disable the batch "
                         "scheduler and single-flight deduplication)")
-    p.add_argument("--window", type=int, default=40_000)
+    p.add_argument("--window", type=_positive_int, default=40_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", metavar="DIR",
@@ -761,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="benchmarks to profile (default: all six)")
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--cpu", choices=("mxs", "mipsy"), default="mxs")
-    p.add_argument("--window", type=int, default=40_000)
+    p.add_argument("--window", type=_positive_int, default=40_000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", metavar="DIR")

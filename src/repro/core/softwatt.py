@@ -175,10 +175,10 @@ class SoftWatt:
     ) -> "list[tuple[SoftWatt, BenchmarkSpec]]":
         """Uncached (instance, spec) pairs eligible for lockstep lanes.
 
-        The prepared-lanes entry point below the campaign layer: callers
-        (the campaign tier-S prebuild, the serve batch scheduler)
-        assemble pairs from several instances, turn each into a
-        :meth:`Profiler.lane_task`, and hand the set to
+        The prepared-lanes entry point below the campaign layer:
+        :meth:`prefetch_profiles` assembles pairs from several
+        instances, turns each into a :meth:`Profiler.lane_task`, and
+        hands the set to
         :func:`~repro.cpu.batch.profile_benchmarks_batched`.  Pairs are
         eligible only on the detailed Mipsy tier (the SoA engine
         implements exactly that pipeline; sub-detailed tiers are already

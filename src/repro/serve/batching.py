@@ -1,44 +1,35 @@
 """Continuous micro-batching for the estimation server.
 
-The per-request path runs every admitted request's simulation alone,
-even when the batched SoA engine (DESIGN.md §10) retires several times
-more aggregate instructions/sec once independent runs advance in
-lockstep.  :class:`BatchScheduler` closes that gap with the standard
+:class:`BatchScheduler` sits between the HTTP handlers and
+:class:`EstimationEngine` and gives concurrent requests the standard
 inference-server shape:
 
 * **Continuous batching.**  Handler threads submit requests to a
   queue; a single dispatcher thread drains whatever is queued the
-  moment it is idle and forms a batch of up to ``max_batch`` lanes.
+  moment it is idle and forms a batch of up to ``max_batch`` requests.
   An optional collection window (``batch_window_ms``, bounded by each
   member's remaining deadline) trades first-request latency for larger
   batches; the default of 0 keeps sequential latency unchanged.
 * **Shape-compatible grouping.**  A batch is partitioned by
   ``(cpu_model, fidelity)`` — the engine keeps one resident SoftWatt
-  per shape, and only same-shape lanes can share a lockstep pass
-  (window and seed are engine-global).  Each group's uncached Mipsy
-  detailed profiles are computed in one SoA prefetch
-  (:meth:`EstimationEngine.prefetch_group`); the per-item
-  :meth:`~EstimationEngine.estimate` calls that follow hit the warm
-  cache.  Groups execute on parallel threads, preserving the
+  per shape.  Groups execute on parallel threads, preserving the
   cross-instance concurrency the per-request path had.
 * **Single-flight deduplication.**  Identical in-flight requests —
   same ``(benchmark, disk, cpu_model, fidelity, deadline_s,
   idle_policy)``; seed and window are engine-global — share one
-  computation.  The first becomes the *leader* and occupies a lane;
-  later arrivals become *followers* parked on the leader's completion
-  event.  Every participant of a shared flight receives a
-  bit-identical copy of the one reply with ``coalesced: true``; a
-  follower whose own deadline expires first gets a per-item 504
-  without disturbing the flight.
+  computation.  The first becomes the *leader*; later arrivals become
+  *followers* parked on the leader's completion event.  Every
+  participant of a shared flight receives a bit-identical copy of the
+  one reply with ``coalesced: true``; a follower whose own deadline
+  expires first gets a per-item 504 without disturbing the flight.
 
 Failure stays per-item: an invalid payload 400s alone, an expired
 deadline 504s alone (queue wait counts against the budget), and a
-breaker-tripped detailed tier degrades each lane down the fidelity
+breaker-tripped detailed tier degrades each request down the fidelity
 ladder inside :meth:`~EstimationEngine.estimate` — a batch never fails
-as a unit.  Because batching only changes *when* profiles are computed
-(the SoA engine is bit-identical to the scalar core) and degradation
-only selects which rung executes, every batched or coalesced response
-is bit-identical to the same request served alone.
+as a unit.  Batching only changes *when* a request executes and
+degradation only selects which rung executes, so every batched or
+coalesced response is bit-identical to the same request served alone.
 """
 
 from __future__ import annotations
@@ -75,8 +66,6 @@ class _Flight:
     reply: dict | None = None
     followers: int = 0
     shared: bool = False
-    batched: bool = False
-    """True when this flight's profile came out of a lockstep prefetch."""
 
 
 def _flight_key(request: EstimateRequest) -> tuple:
@@ -91,7 +80,7 @@ def _flight_key(request: EstimateRequest) -> tuple:
 
 
 class BatchScheduler:
-    """Collect admitted requests into lockstep batches with single-flight
+    """Collect admitted requests into batches with single-flight
     deduplication; the drop-in execution path between the HTTP handlers
     and :class:`EstimationEngine`."""
 
@@ -101,7 +90,6 @@ class BatchScheduler:
         *,
         batch_window_ms: float = 0.0,
         max_batch: int = 16,
-        min_lanes: int | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if batch_window_ms < 0:
@@ -111,7 +99,6 @@ class BatchScheduler:
         self.engine = engine
         self.batch_window_ms = batch_window_ms
         self.max_batch = max_batch
-        self.min_lanes = min_lanes
         self._clock = clock
         self._cond = threading.Condition()
         self._queue: list[_Flight] = []
@@ -123,10 +110,7 @@ class BatchScheduler:
         self._coalesced = 0
         self._batches = 0
         self._occupancy: dict[int, int] = {}
-        self._executed: dict[str, dict[str, int]] = {
-            "batched": {},
-            "solo": {},
-        }
+        self._executed: dict[str, int] = {}
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="batch-dispatcher", daemon=True
         )
@@ -149,7 +133,7 @@ class BatchScheduler:
         """Run several requests concurrently through the batched path.
 
         All items are registered before any is waited on, so the items
-        of one ``/estimate/batch`` payload can share lockstep lanes and
+        of one ``/estimate/batch`` payload can share batches and
         single-flights with each other, not just with other
         connections.  Failures are per-item: each reply carries its own
         status."""
@@ -243,7 +227,7 @@ class BatchScheduler:
 
     def _collect(self) -> list[_Flight] | None:
         """Drain the queue into one batch, optionally holding the
-        collection window open while lanes and deadlines allow."""
+        collection window open while batch room and deadlines allow."""
         with self._cond:
             while not self._queue:
                 if self._stopped:
@@ -286,24 +270,18 @@ class BatchScheduler:
             shape = (flight.request.cpu_model, flight.request.fidelity)
             groups.setdefault(shape, []).append(flight)
         if len(groups) == 1:
-            shape, flights = next(iter(groups.items()))
-            self._run_group(shape, flights)
+            self._run_group(next(iter(groups.values())))
             return
         threads = [
-            threading.Thread(
-                target=self._run_group, args=(shape, flights), daemon=True
-            )
-            for shape, flights in groups.items()
+            threading.Thread(target=self._run_group, args=(flights,), daemon=True)
+            for flights in groups.values()
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
 
-    def _run_group(
-        self, shape: tuple[str, str], flights: list[_Flight]
-    ) -> None:
-        cpu_model, fidelity = shape
+    def _run_group(self, flights: list[_Flight]) -> None:
         now = self._clock()
         live = []
         for flight in flights:
@@ -323,16 +301,7 @@ class BatchScheduler:
                 )
                 continue
             live.append(flight)
-        prefetched = set(
-            self.engine.prefetch_group(
-                cpu_model,
-                fidelity,
-                [flight.request.benchmark for flight in live],
-                min_runs=self.min_lanes,
-            )
-        )
         for flight in live:
-            flight.batched = flight.request.benchmark in prefetched
             reply = self.engine.estimate(
                 flight.request, index=flight.index, started=flight.arrival
             )
@@ -344,8 +313,7 @@ class BatchScheduler:
             flight.shared = flight.followers > 0
             self._coalesced += flight.followers
             rung = reply.get("fidelity_used") or "none"
-            bucket = self._executed["batched" if flight.batched else "solo"]
-            bucket[rung] = bucket.get(rung, 0) + 1
+            self._executed[rung] = self._executed.get(rung, 0) + 1
         flight.reply = reply
         flight.event.set()
 
@@ -382,8 +350,5 @@ class BatchScheduler:
                         self._hits / attempts if attempts else 0.0
                     ),
                 },
-                "executed": {
-                    mode: dict(counts)
-                    for mode, counts in self._executed.items()
-                },
+                "executed": dict(self._executed),
             }

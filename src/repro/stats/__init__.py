@@ -1,6 +1,6 @@
-"""Measurement infrastructure: counters, timing trees, logs, post-processing.
+"""Measurement infrastructure: counters, logs, post-processing.
 
-``counters`` and ``timing_tree`` are leaf modules imported eagerly;
+``counters`` and ``source`` are leaf modules imported eagerly;
 ``simlog`` and ``postprocess`` depend on the kernel and power packages,
 so their names are loaded lazily (PEP 562) to keep the import graph
 acyclic — low-level modules import ``repro.stats.counters`` without
@@ -15,7 +15,6 @@ from repro.stats.counters import (
     rates_per_cycle,
 )
 from repro.stats.source import CounterBundle, CounterSource
-from repro.stats.timing_tree import TimingNode, TimingTree
 
 __all__ = [
     "COUNTER_FIELDS",
@@ -25,8 +24,6 @@ __all__ = [
     "rates_per_cycle",
     "CounterBundle",
     "CounterSource",
-    "TimingNode",
-    "TimingTree",
     "LogRecord",
     "SimulationLog",
     "PowerTrace",

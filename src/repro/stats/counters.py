@@ -58,20 +58,15 @@ _FIELD_SET = frozenset(COUNTER_FIELDS)
 COUNTER_INDEX: dict[str, int] = {
     name: index for index, name in enumerate(COUNTER_FIELDS)
 }
-"""Position of each counter in the fixed-order vector layout.
+"""Position of each counter in the fixed-order row layout.
 
-The vectorized timeline paths (:func:`counters_to_vector` /
-:func:`counters_from_vector`) lay an :class:`AccessCounters` out as a
-float64 vector in :data:`COUNTER_FIELDS` declaration order; this index
-is the single definition of that layout (documented in DESIGN.md §9).
+:func:`counters_row` / :func:`counters_from_row` lay an
+:class:`AccessCounters` out as a row in :data:`COUNTER_FIELDS`
+declaration order; this index is the single definition of that layout
+(documented in DESIGN.md §9).
 """
 
 _ROW_GETTER = operator.attrgetter(*COUNTER_FIELDS)
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
 
 
 class UnknownCounterError(KeyError, AttributeError):
@@ -172,43 +167,28 @@ class AccessCounters:
 def counters_row(counters: AccessCounters) -> tuple:
     """All counter values as a tuple in :data:`COUNTER_INDEX` order.
 
-    The pure-Python sibling of :func:`counters_to_vector`: one C-level
-    ``attrgetter`` call instead of a per-field Python loop, returning
-    the values unchanged (no float64 conversion).  Exporters use this
-    to build per-record counter rows on the fixed vector layout.
+    One C-level ``attrgetter`` call instead of a per-field Python loop,
+    returning the values unchanged.  The timeline accumulates counters
+    on these rows and exporters build per-record counter rows from
+    them.
     """
     return _ROW_GETTER(counters)
 
 
-def counters_to_vector(counters: AccessCounters):
-    """The counters as a float64 vector in :data:`COUNTER_FIELDS` order.
+def counters_from_row(row) -> AccessCounters:
+    """Build an :class:`AccessCounters` from a fixed-order row.
 
-    Counter values are IEEE-754 doubles either way (Python floats and
-    int counts below 2**53 convert exactly), so arithmetic on the
-    vector is bit-identical to per-field arithmetic on the instance.
-    Raises :class:`RuntimeError` when numpy is unavailable — callers
-    gate on availability and keep a pure-Python path.
+    The values are stored unchanged; every field is assigned exactly
+    once (``__init__``'s zero-fill is skipped), which matters on the
+    timeline's once-per-record path.
     """
-    if _np is None:  # pragma: no cover - numpy is a declared dependency
-        raise RuntimeError("numpy is not available; use the per-field API")
-    return _np.array(_ROW_GETTER(counters), dtype=_np.float64)
-
-
-def counters_from_vector(vector) -> AccessCounters:
-    """Rebuild an :class:`AccessCounters` from a fixed-order vector.
-
-    Values become Python floats (an exact conversion from float64), so
-    downstream consumers see the same numbers the per-field path
-    produces.
-    """
-    counters = AccessCounters()
-    if len(vector) != len(COUNTER_FIELDS):
+    if len(row) != len(COUNTER_FIELDS):
         raise ValueError(
-            f"vector has {len(vector)} entries for "
-            f"{len(COUNTER_FIELDS)} counters"
+            f"row has {len(row)} entries for {len(COUNTER_FIELDS)} counters"
         )
-    for field, value in zip(COUNTER_FIELDS, vector):
-        setattr(counters, field, float(value))
+    counters = object.__new__(AccessCounters)
+    for field, value in zip(COUNTER_FIELDS, row):
+        setattr(counters, field, value)
     return counters
 
 

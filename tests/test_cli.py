@@ -27,6 +27,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "jess", "--disk", "7"])
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--max-batch", "0"],
+        ["serve", "--batch-window-ms", "-5"],
+        ["serve", "--queue-depth", "0"],
+        ["run", "jess", "--window", "-5"],
+    ])
+    def test_invalid_numeric_flag_exits_2_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert argv[-2] in err
+        assert "Traceback" not in err
+
     def test_thresholds_repeatable(self):
         args = build_parser().parse_args(
             ["disk-study", "compress", "--threshold", "1.5",

@@ -11,7 +11,6 @@ from repro.config import (
 from repro.disk import AdaptiveSpinDownDisk, PowerManagedDisk
 from repro.isa import OpClass, copy_loop, spin_loop
 from repro.power import ArrayEnergyModel, CacheEnergyModel, CAMEnergyModel
-from repro.stats import TimingTree
 
 
 class TestCacheEnergyProperties:
@@ -138,37 +137,6 @@ class TestStreamHelperProperties:
         assert len(loads) * 8 >= nbytes
 
 
-class TestTimingTreeProperties:
-    @given(st.lists(
-        st.tuples(st.sampled_from(["kernel", "user", "utlb", "read"]),
-                  st.floats(0.0, 1e6)),
-        min_size=1, max_size=50))
-    @settings(max_examples=40, deadline=None)
-    def test_root_equals_sum_of_records(self, records):
-        tree = TimingTree()
-        total = 0.0
-        for name, cycles in records:
-            tree.record((name,), cycles)
-            total += cycles
-        assert tree.root.cycles == pytest.approx(total)
-        children = sum(node.cycles for node in tree.root.children.values())
-        assert children == pytest.approx(total)
-
-    @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_balanced_enter_exit_always_legal(self, names):
-        tree = TimingTree()
-        stack = []
-        for name in names:
-            tree.enter(name)
-            stack.append(name)
-            tree.accrue(1.0)
-        while stack:
-            tree.exit(stack.pop())
-        assert tree.current_path == ("root",)
-        assert tree.root.cycles == pytest.approx(len(names))
-
-
 class TestBatchedMipsyEquivalence:
     """The batched SoA engine (repro.cpu.batch) advances many runs in
     lockstep; every lane must be bit-identical to a fresh scalar
@@ -291,47 +259,3 @@ class TestBatchedExecutionGate:
             ])
         monkeypatch.setenv("REPRO_PURE_PYTHON", "0")
         assert batch.batched_execution() == (batch._np is not None)
-
-    def test_pure_python_env_forces_dict_issue_tables(self, monkeypatch):
-        import repro.cpu.mxs as mxs
-        from repro.config.system import SystemConfig
-
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        assert not mxs.vectorized_issue()
-        cpu = mxs.MXSProcessor(SystemConfig.table1())
-        assert cpu._vec_issue is None
-        monkeypatch.delenv("REPRO_PURE_PYTHON")
-        cpu = mxs.MXSProcessor(SystemConfig.table1())
-        assert (cpu._vec_issue is not None) == (mxs._np is not None)
-
-
-class TestMxsIssueRingEquivalence:
-    """The tag-validated ring tables must time identically to the dict
-    tables they replace (REPRO_PURE_PYTHON=1 selects the dicts)."""
-
-    pytestmark = pytest.mark.skipif(
-        "not __import__('repro.cpu.mxs', fromlist=['x']).vectorized_issue()",
-        reason="numpy issue tables disabled (REPRO_PURE_PYTHON or no numpy)",
-    )
-
-    @given(seed=st.integers(0, 2**16))
-    @settings(max_examples=4, deadline=None)
-    def test_ring_tables_bit_identical_to_dicts(self, seed):
-        import os
-        import pickle
-
-        from repro.core.profiles import Profiler
-        from repro.workloads.specjvm98 import benchmark
-
-        def run():
-            return pickle.dumps(
-                Profiler(cpu_model="mxs", window_instructions=2000,
-                         seed=seed).profile_benchmark(benchmark("jess"))
-            )
-
-        vectorized = run()
-        os.environ["REPRO_PURE_PYTHON"] = "1"
-        try:
-            assert run() == vectorized
-        finally:
-            os.environ.pop("REPRO_PURE_PYTHON", None)

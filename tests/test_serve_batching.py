@@ -4,8 +4,7 @@ The acceptance invariants: single-flight collapses identical
 concurrent requests to exactly one simulation whose reply every
 participant receives bit-identically; failure is per-item (400 for the
 one invalid item, 504 for the one expired deadline) and never stalls
-or fails the rest of the batch; the lockstep SoA prefetch path yields
-replies bit-identical to solo serving; and the breakeven constant is
+or fails the rest of the batch; and the breakeven constant is
 calibrated from bench data with sane fallbacks.
 """
 
@@ -136,27 +135,6 @@ class TestSingleFlight:
 
 
 class TestBatchedExecution:
-    def test_lockstep_prefetch_bit_identical_to_solo(self, cache_dir, offline):
-        if not cpu_batch.batched_execution():
-            pytest.skip("batched execution disabled")
-        names = ("jess", "db", "javac", "mtrt")
-        engine = make_engine()
-        scheduler = BatchScheduler(
-            engine, batch_window_ms=100.0, min_lanes=2
-        )
-        try:
-            replies = submit_concurrently(
-                scheduler,
-                [{"benchmark": n, "cpu_model": "mipsy"} for n in names],
-            )
-        finally:
-            scheduler.close()
-        for name, reply in zip(names, replies):
-            assert reply["status"] == 200
-            assert reply["result"] == offline[name]["result"], name
-        executed = scheduler.snapshot()["executed"]
-        assert sum(executed["batched"].values()) >= 2
-
     def test_per_item_deadline_expiry_does_not_stall_batch(self):
         engine = make_engine()
         scheduler = BatchScheduler(engine, batch_window_ms=50.0)
@@ -203,7 +181,7 @@ class TestBatchedExecution:
         snapshot = scheduler.snapshot()
         assert snapshot["batches"] >= 1
         assert snapshot["occupancy"].get("1", 0) >= 1
-        assert snapshot["executed"]["solo"].get("atomic") == 1
+        assert snapshot["executed"] == {"atomic": 1}
 
 
 class _RunningServer:
