@@ -271,10 +271,15 @@ def cmd_components(args: argparse.Namespace) -> int:
     if getattr(args, "json", False):
         import json  # noqa: PLC0415
 
+        from repro.config.system import SystemConfig  # noqa: PLC0415
+        from repro.power.processor import ProcessorPowerModel  # noqa: PLC0415
+
+        table1 = ProcessorPowerModel(SystemConfig.table1())
         document = {
             "components": REGISTRY.schema(),
             "categories": list(REGISTRY.categories),
             "required_counters": list(REGISTRY.required_counters()),
+            "coefficients": table1.coefficients.as_dict(),
         }
         print(json.dumps(document, indent=2))
         return 0
@@ -659,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list the power-component registry")
     p.add_argument("--json", action="store_true",
                    help="machine-readable schema: per-component "
-                        "required counters, categories")
+                        "required counters, categories, and the Table 1 "
+                        "model's frozen pricing coefficients")
     p.set_defaults(func=cmd_components)
 
     p = sub.add_parser("ingest",

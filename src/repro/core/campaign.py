@@ -57,6 +57,7 @@ from repro.power.processor import ProcessorPowerModel
 from repro.resilience.faults import FaultPlan
 from repro.resilience.runreport import RunReport
 from repro.stats.postprocess import compute_power_trace
+from repro.stats.source import CounterBundle
 
 if TYPE_CHECKING:
     from repro.power.ledger import EnergyLedger
@@ -837,6 +838,10 @@ def sweep_source(
                 f"unknown parameter {parameter!r}; built-ins: "
                 f"{sorted(PARAMETERS)}")
         transform = PARAMETERS[parameter]
+    # The counters are the same at every point: sum the source once.
+    totals = CounterBundle(
+        counters=source.total_counters(), cycles=source.total_cycles()
+    )
     points: list[tuple[object, "EnergyLedger"]] = []
     for value in values:
         config = transform(base, value).validate()
@@ -852,7 +857,7 @@ def sweep_source(
                 f"source cannot be re-simulated, so only ledger-tier "
                 f"parameters ({', '.join(sorted(LEDGER_LEAVES))}) apply")
         model = ProcessorPowerModel(config)
-        points.append((value, model.price(source)))
+        points.append((value, model.price(totals)))
     return points
 
 

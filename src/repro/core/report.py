@@ -68,6 +68,9 @@ class BenchmarkResult:
     timeline: TimelineResult
     trace: PowerTrace
     model: ProcessorPowerModel
+    _ledger: EnergyLedger | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Table 2: mode breakdown
@@ -183,8 +186,16 @@ class BenchmarkResult:
     # ------------------------------------------------------------------
 
     def energy_ledger(self) -> EnergyLedger:
-        """The full-run ledger: every registry component plus the disk."""
-        return self.timeline.energy_ledger(self.model)
+        """The full-run ledger: every registry component plus the disk.
+
+        Priced on first use and kept: a result's log and model do not
+        change after construction, and the totals, average power, EDP
+        and power budget all read this one ledger.  Two threads racing
+        on the first call both compute the same ledger.
+        """
+        if self._ledger is None:
+            self._ledger = self.timeline.energy_ledger(self.model)
+        return self._ledger
 
     def power_budget(self) -> dict[str, float]:
         """Average system power by category, *including the disk*."""

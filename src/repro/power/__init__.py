@@ -23,6 +23,7 @@ from repro.power.processor import (
 from repro.power.registry import (
     CATEGORIES,
     POWER_COMPONENTS,
+    CoefficientTable,
     REGISTRY,
     PowerComponent,
     PowerRegistry,
@@ -48,6 +49,7 @@ __all__ = [
     "FunctionalUnitEnergyModel",
     "MemoryEnergyModel",
     "CATEGORIES",
+    "CoefficientTable",
     "EnergyLedger",
     "POWER_COMPONENTS",
     "PowerComponent",

@@ -11,8 +11,10 @@ units the paper clubs together in its graphs), ``l1i``, ``l1d``,
 
 Which counters feed which unit, and the energy arithmetic itself, live
 in the declarative :data:`~repro.power.registry.REGISTRY`; this class
-owns the per-structure analytical models the registry rules draw
-energies from.
+owns the per-structure analytical models the registry derives its
+energies from.  Building the model freezes them into a
+:class:`~repro.power.registry.CoefficientTable` once, and every
+interval is priced from that table.
 
 Validation (Section 2): configured to estimate the maximum power of
 the R10000, SoftWatt reports 25.3 W against the 30 W datasheet figure;
@@ -30,7 +32,7 @@ from repro.power.conditional import ClockedUnit
 from repro.power.functional import FunctionalUnitEnergyModel
 from repro.power.ledger import EnergyLedger
 from repro.power.memory_power import MemoryEnergyModel
-from repro.power.registry import REGISTRY
+from repro.power.registry import REGISTRY, CoefficientTable
 from repro.stats.counters import AccessCounters
 
 PIPELINE_LATCH_BITS = 4 * 6 * 200
@@ -144,17 +146,20 @@ class ProcessorPowerModel:
             )
         )
         self.clock = ClockNetworkModel(clocked_bits, technology=tech)
+        # Frozen eagerly, not on first use: one model prices from many
+        # threads in the estimation service.
+        self.coefficients = CoefficientTable(REGISTRY, self)
 
     # ------------------------------------------------------------------
     # Interval energy
     # ------------------------------------------------------------------
 
     def ledger(self, counters: AccessCounters, cycles: int) -> EnergyLedger:
-        """Evaluate the component registry over an interval."""
-        return REGISTRY.evaluate(self, counters, cycles)
+        """Price an interval from the frozen coefficient table."""
+        return self.coefficients.evaluate(counters, cycles)
 
     def price(self, source) -> EnergyLedger:
-        """Evaluate the registry over any counter source.
+        """Price any counter source from the frozen coefficient table.
 
         ``source`` satisfies the
         :class:`~repro.stats.source.CounterSource` protocol — a
@@ -165,7 +170,7 @@ class ProcessorPowerModel:
         price perf-style measurements with the same arithmetic as a
         simulated run.
         """
-        return REGISTRY.evaluate_source(self, source)
+        return self.coefficients.evaluate_source(source)
 
     def energy_by_category(
         self, counters: AccessCounters, cycles: int

@@ -1,4 +1,5 @@
-"""The declarative :class:`PowerComponent` registry.
+"""The declarative :class:`PowerComponent` registry and its frozen
+:class:`CoefficientTable`.
 
 SoftWatt's architecture is "instrument the simulators to count
 accesses, then turn counts into energy after the fact".  The second
@@ -8,22 +9,33 @@ into every report layer.  This module replaces it with data: each
 modelled unit is a :class:`PowerComponent` declaring
 
 * the :class:`~repro.stats.counters.AccessCounters` fields it consumes,
-* an energy rule turning those counters into joules, and
+* how they become joules: a joules-per-event energy per counter, or an
+  explicit rule over constants, both derived from the power model, and
 * the report category it rolls up to.
 
-The registry evaluates all components over an interval and returns a
-:class:`~repro.power.ledger.EnergyLedger`; report-category order is
-*derived* from component declaration order, so adding a unit, a
-category, or a backend is a registry entry — not an edit to five
-files.  Simulation-time components (the disk, whose energy is
-integrated event-exactly during the run rather than post-processed
-from counters) are declared with ``rule=None`` and attached to ledgers
-by the timeline layer.
+Pricing happens in two steps.  Building a :class:`CoefficientTable`
+runs once per power model (``ProcessorPowerModel.__init__`` does it)
+and works out every per-event energy and rule constant from the
+structure models.  The table then prices any number of intervals with
+multiplies and adds over those constants.  SoftWatt
+simulates once and prices many intervals, so the analytical models run
+once per machine instead of once per interval.
 
-Numerical contract: a rule returns a *tuple of terms*, and category
-rollups accumulate those terms one by one in declaration order — the
-exact floating-point evaluation order of the historical hand-written
-expressions, pinned bit-for-bit by ``tests/test_golden_energy.py``.
+Report-category order is *derived* from component declaration order,
+so adding a unit, a category, or a backend is a registry entry — not
+an edit to five files.  Simulation-time components (the disk, whose
+energy is integrated event-exactly during the run rather than
+post-processed from counters) declare neither energies nor a rule and
+are attached to ledgers by the timeline layer.
+
+Numerical contract: a component yields a tuple of joule *terms*, and
+category rollups accumulate those terms one by one in declaration
+order — the exact floating-point evaluation order of the historical
+hand-written expressions, pinned bit-for-bit by
+``tests/test_golden_energy.py``.  A per-event term is ``value * k``;
+every term of another shape (a read/write blend, a trailing scale
+factor, the clock gate, DRAM refresh) is an explicit rule written in
+the structure model's own operation order.
 
 To add a component, declare it in :data:`POWER_COMPONENTS` (see
 DESIGN.md §7 for a worked L3 example); every report surface picks it
@@ -33,9 +45,8 @@ up automatically.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.power.conditional import gating_factor
 from repro.power.ledger import EnergyLedger
 from repro.stats.counters import COUNTER_FIELDS, UnknownCounterError
 
@@ -44,78 +55,104 @@ if TYPE_CHECKING:
     from repro.stats.counters import AccessCounters
     from repro.stats.source import CounterSource
 
-#: An energy rule: ``(model, counters, cycles) -> terms``.  The terms
-#: are joule contributions summed in order into both the component and
-#: its category (keeping the historical evaluation order bit-exact).
-EnergyRule = Callable[
-    ["ProcessorPowerModel", "AccessCounters", int], tuple[float, ...]
-]
+#: Joules per counted event, derived from a power model when it is frozen.
+PerEventEnergy = Callable[["ProcessorPowerModel"], float]
+
+#: Named constants an explicit rule reads (numbers, strings and tuples
+#: of them), derived from a power model when it is frozen.
+Constants = dict[str, Any]
+
+#: An explicit rule: ``(values, cycles, constants) -> terms``.
+#: ``values`` maps the component's declared counters to the interval's
+#: counts; the terms are joules summed in order into both the component
+#: and its category (keeping the historical evaluation order bit-exact).
+ExplicitRule = Callable[["_DeclaredValues", int, Constants], tuple[float, ...]]
 
 
-class _DeclaredCounters:
-    """A counter view restricted to one component's declaration.
+class _DeclaredValues(dict):
+    """An explicit rule's counter values: its declared counters only.
 
-    Rules receive this instead of the raw
-    :class:`~repro.stats.counters.AccessCounters`, so reading a counter
-    the component did not declare raises a clear
+    Reading a counter the component did not declare raises a clear
     :class:`~repro.stats.counters.UnknownCounterError` instead of
-    silently succeeding (or, worse, reading 0 through a permissive
-    consumer).
+    silently reading 0.  (A per-event term names its counter in the
+    declaration itself, so it is checked when declared.)
     """
 
-    __slots__ = ("_counters", "_declared", "_component")
+    __slots__ = ("component",)
 
-    def __init__(
-        self, counters: "AccessCounters", declared: frozenset, component: str
-    ) -> None:
-        self._counters = counters
-        self._declared = declared
-        self._component = component
-
-    def __getattr__(self, name: str):
-        # Only reached for names outside __slots__, i.e. counter reads.
-        if name in self._declared:
-            return getattr(self._counters, name)
+    def __missing__(self, name: str):
         raise UnknownCounterError(
-            f"power component {self._component!r} reads counter {name!r} "
+            f"power component {self.component!r} reads counter {name!r} "
             f"it does not declare; declared counters: "
-            f"{', '.join(sorted(self._declared))}"
+            f"{', '.join(sorted(self))}"
         )
 
 
 @dataclasses.dataclass(frozen=True)
 class PowerComponent:
-    """One modelled unit: counters in, joules out, one report category."""
+    """One modelled unit: counters in, joules out, one report category.
+
+    A component takes exactly one of three forms:
+
+    * *per-event*: ``per_event`` lists ``(counter, energy)`` pairs and
+      each term is ``value * energy(model)``, in pair order;
+    * *explicit*: ``rule`` computes the terms from the declared
+      ``counters`` and the ``constants(model)`` frozen for it;
+    * *simulation-time*: neither; the energy is integrated during the
+      run (the disk).
+    """
 
     name: str
     category: str
-    counters: tuple[str, ...]
+    counters: tuple[str, ...] = ()
     """The :data:`~repro.stats.counters.COUNTER_FIELDS` this component
-    consumes (validated at declaration time)."""
-    rule: EnergyRule | None
-    """``counters -> joules`` terms; ``None`` marks a simulation-time
-    component whose energy is integrated during the run (the disk)."""
+    consumes (validated at declaration time).  A per-event component
+    takes them from its ``per_event`` pairs."""
+    per_event: tuple[tuple[str, PerEventEnergy], ...] = ()
+    """``(counter, model -> joules per event)`` pairs."""
+    constants: Callable[["ProcessorPowerModel"], Constants] | None = None
+    """``model -> constants`` for ``rule``, evaluated once per model."""
+    rule: ExplicitRule | None = None
+    """``(values, cycles, constants) -> terms`` for a term that is not
+    ``value * k``."""
     description: str = ""
 
     def __post_init__(self) -> None:
+        if self.per_event:
+            if self.rule is not None or self.constants is not None:
+                raise ValueError(
+                    f"power component {self.name!r} mixes per-event "
+                    f"energies with an explicit rule"
+                )
+            if self.counters:
+                raise ValueError(
+                    f"per-event component {self.name!r} declares its "
+                    f"counters through its (counter, energy) pairs"
+                )
+            names = tuple(counter for counter, _ in self.per_event)
+            if len(set(names)) != len(names):
+                raise ValueError(
+                    f"per-event component {self.name!r} prices a counter "
+                    f"twice: {names}"
+                )
+            object.__setattr__(self, "counters", names)
+        elif self.rule is None and (self.counters or self.constants):
+            raise ValueError(
+                f"simulation-time component {self.name!r} cannot declare "
+                f"counters or constants (its energy is not post-processed)"
+            )
         unknown = [name for name in self.counters if name not in COUNTER_FIELDS]
         if unknown:
             raise UnknownCounterError(
                 f"power component {self.name!r} declares unknown counters "
                 f"{unknown}; valid counters: {', '.join(COUNTER_FIELDS)}"
             )
-        if self.rule is None and self.counters:
-            raise ValueError(
-                f"simulation-time component {self.name!r} cannot declare "
-                f"counters (its energy is not post-processed)"
-            )
-        object.__setattr__(self, "_declared", frozenset(self.counters))
 
     @property
     def simulation_time(self) -> bool:
         """True when the component's energy is integrated during the
         run rather than evaluated from counters."""
-        return self.rule is None
+        return not self.per_event and self.rule is None
 
 
 class PowerRegistry:
@@ -174,7 +211,7 @@ class PowerRegistry:
         return tuple(name for name in COUNTER_FIELDS if name in consumed)
 
     def counter_requirements(self) -> dict[str, tuple[str, ...]]:
-        """Per counter-driven component: the counters its rule reads.
+        """Per counter-driven component: the counters it prices.
 
         Simulation-time components (the disk) consume no counters and
         are omitted — they cannot be starved by a mapping file.
@@ -188,7 +225,7 @@ class PowerRegistry:
     def schema(self) -> list[dict]:
         """The registry as plain data (for ``repro components --json``
         and mapping-file validation tooling): one dict per component
-        with its name, category, rule inputs, and kind."""
+        with its name, category, counter inputs, and kind."""
         return [
             {
                 "name": component.name,
@@ -215,17 +252,51 @@ class PowerRegistry:
     def __len__(self) -> int:
         return len(self._components)
 
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
 
-    def evaluate(
-        self,
-        model: "ProcessorPowerModel",
-        counters: "AccessCounters",
-        cycles: int,
-    ) -> EnergyLedger:
-        """Evaluate every counter-driven component over an interval.
+class CoefficientTable:
+    """One power model frozen into per-component pricing constants.
+
+    Construction works out every component's constants for ``model``
+    once; ``ProcessorPowerModel.__init__`` builds its table eagerly, so
+    threads pricing through one shared model have no first-use cache
+    to race on.  Pricing an interval is one pass over the
+    counter-driven components: a per-event term multiplies a counter by
+    its frozen joules per event, an explicit rule reads its frozen
+    constants.  No structure model is consulted after the build.
+    """
+
+    __slots__ = ("_entries", "_categories", "_component_category")
+
+    def __init__(
+        self, registry: PowerRegistry, model: "ProcessorPowerModel"
+    ) -> None:
+        entries = []
+        for component in registry:
+            if component.simulation_time:
+                continue
+            if component.rule is None:
+                per_event = tuple(
+                    (counter, energy(model))
+                    for counter, energy in component.per_event
+                )
+                constants = None
+            else:
+                per_event = ()
+                constants = (
+                    component.constants(model) if component.constants else {}
+                )
+            entries.append((
+                component.name, component.category, per_event,
+                component.counters, component.rule, constants,
+            ))
+        self._entries = tuple(entries)
+        self._categories = registry.counter_categories
+        self._component_category = {
+            entry[0]: entry[1] for entry in self._entries
+        }
+
+    def evaluate(self, counters: "AccessCounters", cycles: int) -> EnergyLedger:
+        """Price every counter-driven component over an interval.
 
         Category values accumulate term by term in declaration order —
         bit-identical to the historical inline arithmetic.
@@ -233,33 +304,31 @@ class PowerRegistry:
         if cycles <= 0:
             raise ValueError(f"cycles must be positive, got {cycles}")
         component_j: dict[str, float] = {}
-        category_j: dict[str, float] = {
-            name: 0.0 for name in self._counter_categories
-        }
-        component_category: dict[str, str] = {}
-        for component in self._components:
-            rule = component.rule
-            if rule is None:
-                continue
-            view = _DeclaredCounters(
-                counters, component._declared, component.name
-            )
-            terms = rule(model, view, cycles)
-            category = component.category
+        category_j = dict.fromkeys(self._categories, 0.0)
+        for name, category, per_event, declared, rule, constants in self._entries:
             subtotal = 0.0
             rollup = category_j[category]
-            for term in terms:
-                subtotal += term
-                rollup += term
+            if rule is None:
+                for counter, k in per_event:
+                    term = getattr(counters, counter) * k
+                    subtotal += term
+                    rollup += term
+            else:
+                values = _DeclaredValues(
+                    zip(declared, [getattr(counters, c) for c in declared])
+                )
+                values.component = name
+                for term in rule(values, cycles, constants):
+                    subtotal += term
+                    rollup += term
             category_j[category] = rollup
-            component_j[component.name] = subtotal
-            component_category[component.name] = category
-        return EnergyLedger._raw(component_j, category_j, component_category)
+            component_j[name] = subtotal
+        # Ledgers copy their category map before changing it, so every
+        # ledger of this table can share the frozen one.
+        return EnergyLedger._raw(component_j, category_j, self._component_category)
 
-    def evaluate_source(
-        self, model: "ProcessorPowerModel", source: "CounterSource"
-    ) -> EnergyLedger:
-        """Evaluate every counter-driven component over a source.
+    def evaluate_source(self, source: "CounterSource") -> EnergyLedger:
+        """Price every counter-driven component over a source.
 
         ``source`` is anything satisfying the
         :class:`~repro.stats.source.CounterSource` protocol — a
@@ -270,120 +339,123 @@ class PowerRegistry:
         regardless of who produced the counters.
         """
         cycles = max(1, int(source.total_cycles()))
-        return self.evaluate(model, source.total_counters(), cycles)
+        return self.evaluate(source.total_counters(), cycles)
 
-    def reevaluate(
-        self, model: "ProcessorPowerModel", log: "CounterSource"
-    ) -> EnergyLedger:
-        """Re-price a finished run's counters under a different model.
-
-        ``log`` is any :class:`~repro.stats.source.CounterSource`.
-        This is the ledger-tier sweep entry point: a power-only
-        parameter change (supply voltage, calibration) re-evaluates the
-        registry over cached counters instead of re-simulating, and the
-        result is bit-identical to a full re-run because the counters
-        are unchanged by construction.
-        """
-        return self.evaluate_source(model, log)
+    def as_dict(self) -> dict[str, dict]:
+        """The frozen constants as plain data (``repro components
+        --json``): per component, either ``per_event_j`` (counter ->
+        joules per event) or the explicit rule's ``constants``."""
+        return {
+            name: (
+                {"per_event_j": dict(per_event)}
+                if rule is None
+                else {"constants": dict(constants)}
+            )
+            for name, _, per_event, _, rule, constants in self._entries
+        }
 
 
 # ----------------------------------------------------------------------
-# Energy rules (term order matches the paper-era inline expressions)
+# Explicit rules (operation order matches the structure models)
 # ----------------------------------------------------------------------
 
 
-def _tlb_terms(model, c, cycles):
-    return (
-        c.tlb_access * model.tlb.search_energy_j(),
-        c.tlb_miss * model.tlb.write_energy_j(),
-    )
-
-
-def _regfile_terms(model, c, cycles):
-    return (
-        c.regfile_read * model.regfile.access_energy_j(),
-        c.regfile_write * model.regfile.access_energy_j(write=True),
-    )
-
-
-def _window_terms(model, c, cycles):
-    return (
-        c.window_dispatch * model.window_array.access_energy_j(write=True),
-        c.window_issue * model.window_array.access_energy_j(),
-        c.window_wakeup * model.wakeup_cam.search_energy_j(),
-    )
-
-
-def _lsq_terms(model, c, cycles):
-    return (c.lsq_access * model.lsq.search_energy_j(),)
-
-
-def _rename_terms(model, c, cycles):
-    # Renames are a balanced read/write mix of the map table.
-    return (
-        c.rename_access
-        * (
+def _rename_constants(model):
+    return {
+        "read_plus_write_j": (
             model.rename.access_energy_j()
             + model.rename.access_energy_j(write=True)
-        )
-        / 2.0,
-    )
+        ),
+    }
 
 
-def _rob_terms(model, c, cycles):
-    return (c.rob_access * model.rob.access_energy_j(write=True) * 0.6,)
+def _rename_terms(values, cycles, k):
+    # Renames are a balanced read/write mix of the map table:
+    # (count * (read + write)) / 2, the historical operation order.
+    return (values["rename_access"] * k["read_plus_write_j"] / 2.0,)
 
 
-def _bht_terms(model, c, cycles):
-    return (c.bpred_access * model.bht.access_energy_j(),)
+def _rob_constants(model):
+    return {"write_j": model.rob.access_energy_j(write=True), "scale": 0.6}
 
 
-def _btb_terms(model, c, cycles):
-    return (c.btb_access * model.btb.access_energy_j(),)
+def _rob_terms(values, cycles, k):
+    # (count * write_j) * 0.6, not count * (write_j * 0.6).
+    return (values["rob_access"] * k["write_j"] * k["scale"],)
 
 
-def _ras_terms(model, c, cycles):
-    return (c.ras_access * model.ras.access_energy_j(),)
+def _l1d_constants(model):
+    return {
+        "read_j": model.l1d.read_energy_j(),
+        "write_j": model.l1d.write_energy_j(),
+    }
 
 
-def _fu_terms(model, c, cycles):
-    return (
-        c.ialu_access * model.fus.ialu_energy_j(),
-        c.imul_access * model.fus.imul_energy_j(),
-        c.falu_access * model.fus.falu_energy_j(),
-        c.fmul_access * model.fus.fmul_energy_j(),
-        c.resultbus_access * model.fus.result_bus_energy_j(),
-    )
-
-
-def _l1d_terms(model, c, cycles):
+def _l1d_terms(values, cycles, k):
     # Reads and writes blended from the observed mix.
-    data_writes = min(c.stores, c.l1d_access)
+    data_writes = min(values["stores"], values["l1d_access"])
     return (
-        (c.l1d_access - data_writes) * model.l1d.read_energy_j(),
-        data_writes * model.l1d.write_energy_j(),
+        (values["l1d_access"] - data_writes) * k["read_j"],
+        data_writes * k["write_j"],
     )
 
 
-def _l2d_terms(model, c, cycles):
-    return (c.l2d_access * model.l2.access_energy_j(write_fraction=0.3),)
+def _clock_constants(model):
+    units = tuple(
+        (unit.counter, unit.latch_bits, unit.ports)
+        for unit in model.clocked_units
+    )
+    if not units:
+        raise ValueError("need at least one clocked unit")
+    clock = model.clock
+    return {
+        "units": units,
+        "total_bits": sum(latch_bits for _, latch_bits, _ in units),
+        "spine_f": clock.wire_capacitance_f + clock.buffer_capacitance_f,
+        "load_f": clock.load_capacitance_f,
+        "vdd": clock.technology.vdd,
+        "calibration": clock.technology.calibration,
+    }
 
 
-def _l1i_terms(model, c, cycles):
-    return (c.l1i_access * model.l1i.read_energy_j(),)
+def _clock_terms(values, cycles, k):
+    # Conditional clocking: repro.power.conditional.gating_factor over
+    # the frozen (counter, latch_bits, ports) units, then
+    # ClockNetworkModel.energy_per_cycle_j at that gate.
+    weighted = []
+    for counter, latch_bits, ports in k["units"]:
+        activity = values[counter] / (cycles * ports)
+        # min(1.0, activity), without the call.
+        weighted.append(latch_bits * (activity if activity < 1.0 else 1.0))
+    # Built-in sum over the same floats in the same order as
+    # gating_factor (3.12's sum() compensates, so a += loop would not
+    # match it there).
+    gate = sum(weighted) / k["total_bits"]
+    if not 0.0 <= gate <= 1.0:
+        raise ValueError(f"gating factor must be in [0, 1]: {gate}")
+    capacitance = k["spine_f"] + k["load_f"] * gate
+    vdd = k["vdd"]
+    per_cycle = 2.0 * (0.5 * capacitance * vdd * vdd * k["calibration"])
+    return (cycles * per_cycle,)
 
 
-def _l2i_terms(model, c, cycles):
-    return (c.l2i_access * model.l2.read_energy_j(),)
+def _dram_constants(model):
+    memory = model.memory
+    return {
+        "access_j": memory.access_energy_j,
+        "refresh_w": memory.refresh_power_w,
+        "cycle_time_s": memory.technology.cycle_time_s,
+    }
 
 
-def _clock_terms(model, c, cycles):
-    gate = gating_factor(c, cycles, model.clocked_units)
-    return (cycles * model.clock.energy_per_cycle_j(gating_factor=gate),)
-
-
-def _dram_terms(model, c, cycles):
-    return (model.memory.energy_j(c.mem_access, cycles),)
+def _dram_terms(values, cycles, k):
+    # MemoryEnergyModel.energy_j: accesses plus standing refresh.
+    accesses = values["mem_access"]
+    if accesses < 0:
+        raise ValueError("accesses and cycles cannot be negative")
+    return (
+        accesses * k["access_j"] + k["refresh_w"] * cycles * k["cycle_time_s"],
+    )
 
 
 #: The machine, declared.  Order matters twice: components of one
@@ -392,78 +464,110 @@ def _dram_terms(model, c, cycles):
 #: datapath, l1d, l2d, l1i, l2i, clock, memory, then the disk).
 POWER_COMPONENTS: tuple[PowerComponent, ...] = (
     PowerComponent(
-        "tlb", "datapath", ("tlb_access", "tlb_miss"), _tlb_terms,
-        "unified TLB CAM: searches plus miss refills",
+        "tlb", "datapath",
+        per_event=(
+            ("tlb_access", lambda m: m.tlb.search_energy_j()),
+            ("tlb_miss", lambda m: m.tlb.write_energy_j()),
+        ),
+        description="unified TLB CAM: searches plus miss refills",
     ),
     PowerComponent(
-        "regfile", "datapath", ("regfile_read", "regfile_write"),
-        _regfile_terms, "integer + FP register file ports",
+        "regfile", "datapath",
+        per_event=(
+            ("regfile_read", lambda m: m.regfile.access_energy_j()),
+            ("regfile_write", lambda m: m.regfile.access_energy_j(write=True)),
+        ),
+        description="integer + FP register file ports",
     ),
     PowerComponent(
         "window", "datapath",
-        ("window_dispatch", "window_issue", "window_wakeup"),
-        _window_terms, "issue window array and wakeup CAM",
+        per_event=(
+            ("window_dispatch",
+             lambda m: m.window_array.access_energy_j(write=True)),
+            ("window_issue", lambda m: m.window_array.access_energy_j()),
+            ("window_wakeup", lambda m: m.wakeup_cam.search_energy_j()),
+        ),
+        description="issue window array and wakeup CAM",
     ),
     PowerComponent(
-        "lsq", "datapath", ("lsq_access",), _lsq_terms,
-        "load/store queue address CAM",
+        "lsq", "datapath",
+        per_event=(("lsq_access", lambda m: m.lsq.search_energy_j()),),
+        description="load/store queue address CAM",
     ),
     PowerComponent(
-        "rename", "datapath", ("rename_access",), _rename_terms,
-        "register rename map table",
+        "rename", "datapath", ("rename_access",),
+        constants=_rename_constants, rule=_rename_terms,
+        description="register rename map table",
     ),
     PowerComponent(
-        "rob", "datapath", ("rob_access",), _rob_terms,
-        "reorder buffer",
+        "rob", "datapath", ("rob_access",),
+        constants=_rob_constants, rule=_rob_terms,
+        description="reorder buffer",
     ),
     PowerComponent(
-        "bht", "datapath", ("bpred_access",), _bht_terms,
-        "branch history table",
+        "bht", "datapath",
+        per_event=(("bpred_access", lambda m: m.bht.access_energy_j()),),
+        description="branch history table",
     ),
     PowerComponent(
-        "btb", "datapath", ("btb_access",), _btb_terms,
-        "branch target buffer",
+        "btb", "datapath",
+        per_event=(("btb_access", lambda m: m.btb.access_energy_j()),),
+        description="branch target buffer",
     ),
     PowerComponent(
-        "ras", "datapath", ("ras_access",), _ras_terms,
-        "return address stack",
+        "ras", "datapath",
+        per_event=(("ras_access", lambda m: m.ras.access_energy_j()),),
+        description="return address stack",
     ),
     PowerComponent(
         "fus", "datapath",
-        ("ialu_access", "imul_access", "falu_access", "fmul_access",
-         "resultbus_access"),
-        _fu_terms, "functional units and the result bus",
+        per_event=(
+            ("ialu_access", lambda m: m.fus.ialu_energy_j()),
+            ("imul_access", lambda m: m.fus.imul_energy_j()),
+            ("falu_access", lambda m: m.fus.falu_energy_j()),
+            ("fmul_access", lambda m: m.fus.fmul_energy_j()),
+            ("resultbus_access", lambda m: m.fus.result_bus_energy_j()),
+        ),
+        description="functional units and the result bus",
     ),
     PowerComponent(
-        "l1d", "l1d", ("l1d_access", "stores"), _l1d_terms,
-        "L1 data cache (read/write mix from the store count)",
+        "l1d", "l1d", ("l1d_access", "stores"),
+        constants=_l1d_constants, rule=_l1d_terms,
+        description="L1 data cache (read/write mix from the store count)",
     ),
     PowerComponent(
-        "l2d", "l2d", ("l2d_access",), _l2d_terms,
-        "L2 data-side references",
+        "l2d", "l2d",
+        per_event=((
+            "l2d_access",
+            lambda m: m.l2.access_energy_j(write_fraction=0.3),
+        ),),
+        description="L2 data-side references",
     ),
     PowerComponent(
-        "l1i", "l1i", ("l1i_access",), _l1i_terms,
-        "L1 instruction cache",
+        "l1i", "l1i",
+        per_event=(("l1i_access", lambda m: m.l1i.read_energy_j()),),
+        description="L1 instruction cache",
     ),
     PowerComponent(
-        "l2i", "l2i", ("l2i_access",), _l2i_terms,
-        "L2 instruction-side references",
+        "l2i", "l2i",
+        per_event=(("l2i_access", lambda m: m.l2.read_energy_j()),),
+        description="L2 instruction-side references",
     ),
     PowerComponent(
         "clock", "clock",
         ("window_dispatch", "l1i_access", "l1d_access", "window_issue",
          "lsq_access", "regfile_read", "rob_access", "ialu_access"),
-        _clock_terms,
-        "clock tree under the Section 2 conditional-clocking model",
+        constants=_clock_constants, rule=_clock_terms,
+        description="clock tree under the Section 2 conditional-clocking model",
     ),
     PowerComponent(
-        "dram", "memory", ("mem_access",), _dram_terms,
-        "main memory: accesses plus standing refresh",
+        "dram", "memory", ("mem_access",),
+        constants=_dram_constants, rule=_dram_terms,
+        description="main memory: accesses plus standing refresh",
     ),
     PowerComponent(
-        "disk", "disk", (), None,
-        "power-managed disk, integrated event-exactly during the run",
+        "disk", "disk",
+        description="power-managed disk, integrated event-exactly during the run",
     ),
 )
 

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.config.system import SystemConfig
+from repro.power.processor import ProcessorPowerModel
+from repro.power.registry import REGISTRY
 
 WINDOW_ARGS = ["--window", "8000", "--seed", "1"]
 
@@ -124,3 +129,47 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "will create it" in out
         assert path.exists()
+
+    def test_components_json_pins_table1_coefficients(self, capsys):
+        assert main(["components", "--json"]) == 0
+        coefficients = json.loads(capsys.readouterr().out)["coefficients"]
+        model = ProcessorPowerModel(SystemConfig.table1())
+        counter_driven = [c.name for c in REGISTRY if not c.simulation_time]
+        assert list(coefficients) == counter_driven
+        # Per-event components: counter -> joules per event, exactly the
+        # structure model's figure (JSON floats round-trip exactly).
+        assert coefficients["tlb"]["per_event_j"] == {
+            "tlb_access": model.tlb.search_energy_j(),
+            "tlb_miss": model.tlb.write_energy_j(),
+        }
+        assert coefficients["l2d"]["per_event_j"] == {
+            "l2d_access": model.l2.access_energy_j(write_fraction=0.3),
+        }
+        assert coefficients["fus"]["per_event_j"]["resultbus_access"] == (
+            model.fus.result_bus_energy_j())
+        for name in counter_driven:
+            entry = coefficients[name]
+            if "per_event_j" in entry:
+                assert list(entry["per_event_j"]) == list(
+                    REGISTRY.component(name).counters)
+        # Explicit terms: their frozen constants.
+        assert coefficients["l1d"]["constants"] == {
+            "read_j": model.l1d.read_energy_j(),
+            "write_j": model.l1d.write_energy_j(),
+        }
+        assert coefficients["rob"]["constants"] == {
+            "write_j": model.rob.access_energy_j(write=True), "scale": 0.6,
+        }
+        clock = coefficients["clock"]["constants"]
+        assert clock["units"] == [
+            [unit.counter, unit.latch_bits, unit.ports]
+            for unit in model.clocked_units
+        ]
+        assert clock["total_bits"] == sum(
+            unit.latch_bits for unit in model.clocked_units)
+        assert clock["load_f"] == model.clock.load_capacitance_f
+        assert coefficients["dram"]["constants"] == {
+            "access_j": model.memory.access_energy_j,
+            "refresh_w": model.memory.refresh_power_w,
+            "cycle_time_s": model.technology.cycle_time_s,
+        }

@@ -1,5 +1,9 @@
 """Tests for the SoftWatt core: profiler, timeline, facade, reports."""
 
+import dataclasses
+import sys
+import threading
+
 import pytest
 
 from repro import SoftWatt
@@ -213,6 +217,54 @@ class TestSoftWattFacade:
         shares = jess_result.power_budget_shares()
         assert sum(shares.values()) == pytest.approx(100.0)
         assert shares["disk"] > 20.0  # conventional disk dominates
+
+    def test_full_run_ledger_priced_once(self, jess_result, monkeypatch):
+        result = dataclasses.replace(jess_result)  # fresh, nothing cached
+        calls = []
+        price = ProcessorPowerModel.price
+
+        def counted(model, source):
+            calls.append(source)
+            return price(model, source)
+
+        monkeypatch.setattr(ProcessorPowerModel, "price", counted)
+        ledger = result.energy_ledger()
+        assert result.total_energy_j == ledger.total_j
+        assert result.average_power_w == (
+            ledger.total_j / result.timeline.duration_s)
+        assert result.energy_delay_product == (
+            ledger.total_j * result.timeline.duration_s)
+        result.power_budget()
+        result.power_budget_shares()
+        assert result.energy_ledger() is ledger
+        assert calls == [result.timeline.log]
+        assert ledger == result.timeline.energy_ledger(result.model)
+
+    def test_concurrent_first_ledger_reads_agree(self, jess_result):
+        result = dataclasses.replace(jess_result)
+        expected = jess_result.energy_ledger()
+        threads_n = 8  # more threads than this host's cores
+        barrier = threading.Barrier(threads_n)
+        seen = []
+
+        def read():
+            barrier.wait(timeout=30)
+            seen.append(result.energy_ledger())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read) for _ in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == threads_n
+        assert all(ledger == expected for ledger in seen)
+        assert result.energy_ledger() == expected
 
     def test_utlb_dominates_kernel_services(self, jess_result):
         rows = jess_result.service_breakdown()

@@ -1,16 +1,29 @@
 """Broad hypothesis property tests across the library."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import (
     CacheConfig,
+    SystemConfig,
     Technology,
     disk_configuration,
 )
+from repro.core.campaign import PARAMETERS
 from repro.disk import AdaptiveSpinDownDisk, PowerManagedDisk
 from repro.isa import OpClass, copy_loop, spin_loop
-from repro.power import ArrayEnergyModel, CacheEnergyModel, CAMEnergyModel
+from repro.power import (
+    REGISTRY,
+    ArrayEnergyModel,
+    CacheEnergyModel,
+    CAMEnergyModel,
+    ProcessorPowerModel,
+    gating_factor,
+)
+from repro.stats.counters import COUNTER_FIELDS, AccessCounters
+from repro.stats.source import CounterBundle
 
 
 class TestCacheEnergyProperties:
@@ -73,6 +86,106 @@ class TestTechnologyProperties:
         double = Technology(vdd=2 * vdd)
         assert double.switching_energy(cap) == pytest.approx(
             4 * tech.switching_energy(cap))
+
+
+def _reference_terms(model, c, cycles):
+    """Per component, the joule terms straight from the structure
+    models, in the historical term order (written independently of the
+    registry's frozen table)."""
+    data_writes = min(c.stores, c.l1d_access)
+    gate = gating_factor(c, cycles, model.clocked_units)
+    return {
+        "tlb": (c.tlb_access * model.tlb.search_energy_j(),
+                c.tlb_miss * model.tlb.write_energy_j()),
+        "regfile": (c.regfile_read * model.regfile.access_energy_j(),
+                    c.regfile_write
+                    * model.regfile.access_energy_j(write=True)),
+        "window": (c.window_dispatch
+                   * model.window_array.access_energy_j(write=True),
+                   c.window_issue * model.window_array.access_energy_j(),
+                   c.window_wakeup * model.wakeup_cam.search_energy_j()),
+        "lsq": (c.lsq_access * model.lsq.search_energy_j(),),
+        "rename": (c.rename_access
+                   * (model.rename.access_energy_j()
+                      + model.rename.access_energy_j(write=True))
+                   / 2.0,),
+        "rob": (c.rob_access * model.rob.access_energy_j(write=True) * 0.6,),
+        "bht": (c.bpred_access * model.bht.access_energy_j(),),
+        "btb": (c.btb_access * model.btb.access_energy_j(),),
+        "ras": (c.ras_access * model.ras.access_energy_j(),),
+        "fus": (c.ialu_access * model.fus.ialu_energy_j(),
+                c.imul_access * model.fus.imul_energy_j(),
+                c.falu_access * model.fus.falu_energy_j(),
+                c.fmul_access * model.fus.fmul_energy_j(),
+                c.resultbus_access * model.fus.result_bus_energy_j()),
+        "l1d": ((c.l1d_access - data_writes) * model.l1d.read_energy_j(),
+                data_writes * model.l1d.write_energy_j()),
+        "l2d": (c.l2d_access * model.l2.access_energy_j(write_fraction=0.3),),
+        "l1i": (c.l1i_access * model.l1i.read_energy_j(),),
+        "l2i": (c.l2i_access * model.l2.read_energy_j(),),
+        "clock": (cycles * model.clock.energy_per_cycle_j(gating_factor=gate),),
+        "dram": (model.memory.energy_j(c.mem_access, cycles),),
+    }
+
+
+def _in_order_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+_COUNT = st.one_of(
+    st.integers(0, 10**12),
+    st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestCoefficientTableProperties:
+    """The frozen coefficient table prices bit-identically to the
+    structure models it was frozen from, on random ledger-tier
+    machines and random counters."""
+
+    @given(
+        vdd=st.floats(0.8, 5.0),
+        calibration=st.floats(0.5, 5.0),
+        feature_size_um=st.floats(0.1, 1.0),
+        l1_kb=st.sampled_from([8, 16, 32, 64, 128]),
+        l2_kb=st.sampled_from([256, 512, 1024, 2048, 4096]),
+        counts=st.fixed_dictionaries(
+            {name: _COUNT for name in COUNTER_FIELDS}),
+        cycles=st.one_of(st.integers(1, 10**12), st.floats(0.0, 1e12)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_frozen_pricing_matches_structure_models(
+            self, vdd, calibration, feature_size_um, l1_kb, l2_kb,
+            counts, cycles):
+        config = SystemConfig.table1()
+        config = PARAMETERS["vdd"](config, vdd)
+        config = PARAMETERS["calibration"](config, calibration)
+        config = PARAMETERS["l1_size"](config, l1_kb * 1024)
+        config = PARAMETERS["l2_size"](config, l2_kb * 1024)
+        config = dataclasses.replace(config, technology=dataclasses.replace(
+            config.technology, feature_size_um=feature_size_um))
+        model = ProcessorPowerModel(config)
+        counters = AccessCounters(**counts)
+        ledger = model.price(CounterBundle(counters=counters, cycles=cycles))
+
+        priced_cycles = max(1, int(cycles))
+        reference = _reference_terms(model, counters, priced_cycles)
+        components = ledger.components
+        assert list(components) == list(reference)
+        category_terms = {name: [] for name in REGISTRY.counter_categories}
+        for name, terms in reference.items():
+            # Bit for bit, not approximately.
+            assert components[name] == _in_order_sum(terms), name
+            assert components[name] >= 0.0, name
+            category_terms[ledger.category_of(name)].extend(terms)
+        categories = ledger.categories
+        assert list(categories) == list(REGISTRY.counter_categories)
+        for name, terms in category_terms.items():
+            assert categories[name] == _in_order_sum(terms), name
+        assert ledger.total_j == _in_order_sum(categories.values())
 
 
 class TestDiskProperties:

@@ -8,6 +8,7 @@ from repro.power.processor import ProcessorPowerModel
 from repro.power.registry import (
     CATEGORIES,
     REGISTRY,
+    CoefficientTable,
     PowerComponent,
     PowerRegistry,
 )
@@ -53,14 +54,48 @@ class TestRegistryStructure:
             PowerRegistry((tlb, tlb))
 
     def test_component_with_unknown_counter_rejected_at_declaration(self):
+        # A per-event term names its counter in the declaration, so an
+        # unknown counter fails before any model is built or priced.
         with pytest.raises(UnknownCounterError, match="l3_access"):
             PowerComponent(
-                "l3", "memory", ("l3_access",), lambda m, c, cy: (0.0,)
+                "l3", "memory", per_event=(("l3_access", lambda m: 1.0),)
+            )
+        with pytest.raises(UnknownCounterError, match="l3_access"):
+            PowerComponent(
+                "l3", "memory", ("l3_access",),
+                rule=lambda values, cycles, k: (0.0,),
             )
 
     def test_simulation_time_component_cannot_declare_counters(self):
         with pytest.raises(ValueError, match="simulation-time"):
-            PowerComponent("disk2", "disk", ("mem_access",), None)
+            PowerComponent("disk2", "disk", ("mem_access",))
+        with pytest.raises(ValueError, match="simulation-time"):
+            PowerComponent("disk2", "disk", constants=lambda m: {"k": 1.0})
+
+    def test_per_event_component_cannot_also_take_a_rule(self):
+        with pytest.raises(ValueError, match="mixes"):
+            PowerComponent(
+                "mixed", "datapath",
+                per_event=(("l1i_access", lambda m: 1.0),),
+                rule=lambda values, cycles, k: (0.0,),
+            )
+
+    def test_per_event_counters_come_from_the_pairs(self):
+        with pytest.raises(ValueError, match="declares its counters"):
+            PowerComponent(
+                "twice", "datapath", ("l1i_access",),
+                per_event=(("l1i_access", lambda m: 1.0),),
+            )
+        with pytest.raises(ValueError, match="prices a counter twice"):
+            PowerComponent(
+                "twice", "datapath",
+                per_event=(
+                    ("l1i_access", lambda m: 1.0),
+                    ("l1i_access", lambda m: 2.0),
+                ),
+            )
+        tlb = REGISTRY.component("tlb")
+        assert tlb.counters == ("tlb_access", "tlb_miss")
 
 
 class TestRegistryEvaluation:
@@ -84,25 +119,50 @@ class TestRegistryEvaluation:
 
     def test_zero_cycles_rejected(self, model):
         with pytest.raises(ValueError, match="cycles must be positive"):
-            REGISTRY.evaluate(model, AccessCounters(), 0)
+            model.ledger(AccessCounters(), 0)
+        with pytest.raises(ValueError, match="cycles must be positive"):
+            model.coefficients.evaluate(AccessCounters(), -1)
 
     def test_rule_reading_undeclared_counter_raises(self):
         sneaky = PowerComponent(
             "sneaky", "datapath", ("l1i_access",),
-            lambda m, c, cy: (c.l1d_access * 1.0,),
+            rule=lambda values, cycles, k: (values["l1d_access"] * 1.0,),
         )
-        registry = PowerRegistry((sneaky,))
+        table = CoefficientTable(PowerRegistry((sneaky,)), None)
         with pytest.raises(UnknownCounterError, match="does not declare"):
-            registry.evaluate(None, AccessCounters(l1d_access=5), 100)
+            table.evaluate(AccessCounters(l1d_access=5), 100)
 
     def test_declared_counters_are_readable_through_the_view(self):
         honest = PowerComponent(
             "honest", "datapath", ("l1i_access",),
-            lambda m, c, cy: (c.l1i_access * 2.0,),
+            constants=lambda m: {"k": 2.0},
+            rule=lambda values, cycles, k: (values["l1i_access"] * k["k"],),
         )
-        registry = PowerRegistry((honest,))
-        ledger = registry.evaluate(None, AccessCounters(l1i_access=3), 100)
+        linear = PowerComponent(
+            "linear", "datapath", per_event=(("l1d_access", lambda m: 0.5),),
+        )
+        table = CoefficientTable(PowerRegistry((honest, linear)), None)
+        ledger = table.evaluate(AccessCounters(l1i_access=3, l1d_access=4), 100)
         assert ledger.component("honest") == 6.0
+        assert ledger.component("linear") == 2.0
+        assert ledger.category("datapath") == 8.0
+
+    def test_constants_are_frozen_when_the_model_is_built(self, monkeypatch):
+        model = ProcessorPowerModel(SystemConfig.table1())
+        counters = _busy_counters(model)
+        before = model.ledger(counters, 2_000)
+
+        def stale(*args, **kwargs):
+            raise AssertionError("structure model consulted after build")
+
+        for structure in (model.tlb, model.l1d, model.l2, model.rob,
+                          model.clock, model.fus, model.memory):
+            for name in dir(structure):
+                if name.endswith("energy_j") and callable(
+                    getattr(structure, name)
+                ):
+                    monkeypatch.setattr(structure, name, stale)
+        assert model.ledger(counters, 2_000) == before
 
 
 class TestEnergyLedger:
